@@ -10,7 +10,7 @@ premises to its conclusion. The package provides:
 - segmentation of free text into textual logical units (`tlu`)
 - node-similarity policies, including math-value matching and external
   scorers (`similarity`)
-- graph edit distance with exact and approximate solvers (`ged`)
+- graph edit distance by an anytime branch-and-bound search (`ged`)
 - answer accuracy, graph accuracy, and graph similarity metrics (`metrics`)
 - world simulators and corpus generators for state-manipulation tasks
   (`scone`)
@@ -55,7 +55,6 @@ from .errors import (
     SchemaError,
 )
 from .ged import (
-    DEFAULT_APPROX_BUDGET,
     DEFAULT_EXACT_BOUND,
     GedOutcome,
     approx_ged,
@@ -85,7 +84,6 @@ from .metrics import (
     ScoreRun,
     TaskBreakdown,
     aggregate,
-    align_nodes,
     answer_accuracy,
     eq1_similarity,
     graph_similarity,
@@ -118,7 +116,6 @@ __all__ = [
     "AnswerValue",
     "Choice",
     "CorpusRecord",
-    "DEFAULT_APPROX_BUDGET",
     "DEFAULT_EXACT_BOUND",
     "DEFAULT_SOFT_THRESHOLD",
     "DatasetStats",
@@ -155,7 +152,6 @@ __all__ = [
     "Violation",
     "WorldState",
     "aggregate",
-    "align_nodes",
     "ancestors",
     "answer_accuracy",
     "approx_ged",

@@ -13,12 +13,13 @@ goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 from .corpus import (
     CorpusRecord,
@@ -32,7 +33,6 @@ from .errors import (
     FileUnreadableError,
     ReasoningGraphError,
 )
-from .ged import DEFAULT_APPROX_BUDGET, DEFAULT_EXACT_BOUND
 from .metrics import aggregate, render_table, score_records
 from .scone import DEFAULT_N_ACTIONS, SUB_TASKS, generate_records
 from .similarity import DEFAULT_SOFT_THRESHOLD, ExternalScorer
@@ -61,18 +61,6 @@ def _add_common_scoring_flags(p: argparse.ArgumentParser) -> None:
         type=float,
         default=_env("--scorer-threshold", DEFAULT_SOFT_THRESHOLD),
         help="soft-similarity acceptance threshold (score must exceed it)",
-    )
-    p.add_argument(
-        "--ged-exact-bound",
-        type=int,
-        default=_env("--ged-exact-bound", DEFAULT_EXACT_BOUND),
-        help="max editable steps per side for the exact edit-distance solver",
-    )
-    p.add_argument(
-        "--ged-approx-budget",
-        type=int,
-        default=_env("--ged-approx-budget", DEFAULT_APPROX_BUDGET),
-        help="candidate-evaluation budget for the approximate solver",
     )
     p.add_argument(
         "--jobs",
@@ -165,9 +153,6 @@ def _check_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if getattr(args, "scorer_threshold", None) is not None:
         if not 0.0 <= args.scorer_threshold <= 1.0:
             parser.error("--scorer-threshold must be in [0, 1]")
-    if getattr(args, "ged_exact_bound", None) is not None:
-        if args.ged_exact_bound < 1:
-            parser.error("--ged-exact-bound must be at least 1")
     if getattr(args, "jobs", None) is not None:
         if args.jobs < 1:
             parser.error("--jobs must be at least 1")
@@ -207,6 +192,26 @@ def _out_prefix(args: argparse.Namespace) -> str:
     return os.path.splitext(args.infile)[0]
 
 
+def _write_all(outputs: list[tuple[str, Callable[[TextIO], None]]]) -> None:
+    """Write each file to a temporary sibling, then rename them all into place.
+
+    A failure before the renames leaves the previous files as they were and
+    no temporary file behind.
+    """
+    temps: list[str] = []
+    try:
+        for path, write in outputs:
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            with open(temps[-1], "w", encoding="utf-8") as fh:
+                write(fh)
+        for temp, (path, _) in zip(temps, outputs):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     report = ingest(args.infile)
@@ -219,8 +224,6 @@ def cmd_score(args: argparse.Namespace) -> int:
             records,
             scorer=scorer,
             threshold=args.scorer_threshold,
-            exact_bound=args.ged_exact_bound,
-            approx_budget=args.ged_approx_budget,
             jobs=args.jobs,
         )
     finally:
@@ -231,14 +234,19 @@ def cmd_score(args: argparse.Namespace) -> int:
         f"external:{args.scorer_cmd}" if args.scorer_cmd else "builtin-overlap"
     )
 
-    prefix = _out_prefix(args)
-    with open(prefix + ".scores.jsonl", "w", encoding="utf-8") as fh:
+    def write_scores(fh: TextIO) -> None:
         for score in run.scores:
             fh.write(json.dumps(score.to_json(), ensure_ascii=False) + "\n")
-    payload = {"scorer": scorer_kind, **result.to_json()}
-    with open(prefix + ".report.json", "w", encoding="utf-8") as fh:
+
+    def write_report(fh: TextIO) -> None:
+        payload = {"scorer": scorer_kind, **result.to_json()}
         json.dump(payload, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
+
+    prefix = _out_prefix(args)
+    _write_all(
+        [(prefix + ".scores.jsonl", write_scores), (prefix + ".report.json", write_report)]
+    )
 
     print(render_table(result))
     print(f"scorer: {scorer_kind}")

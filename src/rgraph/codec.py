@@ -30,7 +30,7 @@ from .errors import (
     NonConsecutiveStepIdError,
     ProofSyntaxError,
 )
-from .graph import NodeKind, QaComponents, ReasoningGraph, build, state_key
+from .graph import QaComponents, ReasoningGraph, build, state_key
 from .tasks import AnswerType, TaskSpec
 
 _BLOCKS_RE = re.compile(
@@ -326,15 +326,4 @@ def render(example: LinearizedExample) -> str:
     """One-string form of an example."""
     return (
         f"$question$ = {example.question_block} $proof$ = {example.proof_block}"
-    )
-
-
-def node_kinds_from_block(task: TaskSpec, question_block: str) -> list[NodeKind]:
-    """Kinds the block's TLUs would receive, in id order (for diagnostics)."""
-    tlus = _split_numbered(question_block)
-    c = infer_components(task, tlus)
-    return (
-        [NodeKind.CONTEXT] * len(c.context)
-        + [NodeKind.QUESTION] * len(c.question)
-        + [NodeKind.OPTION for o in c.options for _ in o]
     )

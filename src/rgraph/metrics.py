@@ -30,18 +30,8 @@ from .errors import (
     ExternalScorerUnavailableError,
     ReasoningGraphError,
 )
-from .ged import (
-    DEFAULT_APPROX_BUDGET,
-    DEFAULT_EXACT_BOUND,
-    GedOutcome,
-    ged,
-)
-from .graph import (
-    AnswerValue,
-    ReasoningGraph,
-    extract_answer,
-    topological_order,
-)
+from .ged import GedOutcome, ged
+from .graph import AnswerValue, ReasoningGraph, extract_answer
 from .similarity import (
     DEFAULT_SOFT_THRESHOLD,
     ExternalScorer,
@@ -64,80 +54,11 @@ def answer_accuracy(predicted: AnswerValue, gold: AnswerValue) -> bool:
     return predicted == gold
 
 
-def _reduced_parents(graph: ReasoningGraph) -> dict[int, frozenset[int]]:
-    dropped = set(graph.zero_antecedent_step_ids)
-    return {
-        i: frozenset(u for u in graph.parents(i) if u not in dropped)
-        for i in graph.step_ids
-        if i not in dropped
-    }
-
-
-def align_nodes(
-    pred: ReasoningGraph, gold: ReasoningGraph, sigma_fn: SigmaFn
-) -> dict[int, int]:
-    """Greedy alignment of predicted steps onto gold steps.
-
-    Predicted steps are visited in topological order. A predicted step
-    matches the lowest-id unmatched gold step that has the same premise
-    set after translating predicted premises through the alignment built
-    so far, and similar text. Zero-antecedent steps on either side are
-    invisible: they cannot match and are dropped from premise sets.
-    """
-    pred_parents = _reduced_parents(pred)
-    gold_parents = _reduced_parents(gold)
-    gold_candidates = sorted(gold_parents)
-    mu = {i: i for i in pred.premise_ids}
-    matched: dict[int, int] = {}
-    used: set[int] = set()
-    for p in topological_order(pred):
-        if p not in pred_parents:
-            continue
-        translated = set()
-        complete = True
-        for u in pred_parents[p]:
-            if u not in mu:
-                complete = False
-                break
-            translated.add(mu[u])
-        if not complete:
-            continue
-        for g in gold_candidates:
-            if g in used or gold_parents[g] != translated:
-                continue
-            if sigma_fn(pred.text(p), gold.text(g)):
-                matched[p] = g
-                mu[p] = g
-                used.add(g)
-                break
-    return matched
-
-
 def reasoning_graph_accuracy(
     pred: ReasoningGraph, gold: ReasoningGraph, sigma_fn: SigmaFn
 ) -> bool:
-    """Answers match and the aligned steps form an edge-preserving bijection."""
-    try:
-        if extract_answer(pred) != extract_answer(gold):
-            return False
-    except ReasoningGraphError:
-        return False
-    alignment = align_nodes(pred, gold, sigma_fn)
-    pred_parents = _reduced_parents(pred)
-    gold_parents = _reduced_parents(gold)
-    if len(alignment) != len(pred_parents):
-        return False
-    if set(alignment.values()) != set(gold_parents):
-        return False
-    if pred.answer_node_id is not None or gold.answer_node_id is not None:
-        if alignment.get(pred.answer_node_id) != gold.answer_node_id:
-            return False
-    mu = {i: i for i in pred.premise_ids}
-    mu.update(alignment)
-    for p, g in alignment.items():
-        if {mu[u] for u in pred_parents[p]} != set(gold_parents[g]):
-            return False
-    return True
+    """Answers match and a zero-cost step mapping exists (edit distance 0)."""
+    return ged(pred, gold, sigma_fn).delta == 0.0
 
 
 def eq1_similarity(outcome: GedOutcome) -> float:
@@ -150,16 +71,10 @@ def eq1_similarity(outcome: GedOutcome) -> float:
 
 
 def graph_similarity(
-    pred: ReasoningGraph,
-    gold: ReasoningGraph,
-    sigma_fn: SigmaFn,
-    exact_bound: int = DEFAULT_EXACT_BOUND,
-    approx_budget: int = DEFAULT_APPROX_BUDGET,
+    pred: ReasoningGraph, gold: ReasoningGraph, sigma_fn: SigmaFn
 ) -> tuple[float, GedOutcome]:
     """Normalized edit-distance similarity and the distance that backs it."""
-    outcome = ged(
-        pred, gold, sigma_fn, exact_bound=exact_bound, approx_budget=approx_budget
-    )
+    outcome = ged(pred, gold, sigma_fn)
     return eq1_similarity(outcome), outcome
 
 
@@ -195,8 +110,6 @@ def score_question(
     record: CorpusRecord,
     scorer: ExternalScorer | None = None,
     threshold: float = DEFAULT_SOFT_THRESHOLD,
-    exact_bound: int = DEFAULT_EXACT_BOUND,
-    approx_budget: int = DEFAULT_APPROX_BUDGET,
 ) -> QuestionScore:
     """All three metrics for one record; requires a predicted proof."""
     if record.predicted_proof is None:
@@ -235,28 +148,14 @@ def score_question(
     def sigma_fn(candidate: str, reference: str) -> bool:
         return sigma(policy, candidate, reference)
 
-    if reasoning_graph_accuracy(pred, gold, sigma_fn):
-        # accuracy is equivalent to a zero-cost mapping, so delta is known
-        return QuestionScore(
-            qid=record.id,
-            task=record.task.name,
-            answer_correct=True,
-            graph_accurate=True,
-            similarity=1.0,
-            malformed=False,
-            truncated=mp.truncated,
-            delta=0.0,
-            ged_exact=True,
-        )
-    similarity, outcome = graph_similarity(
-        pred, gold, sigma_fn, exact_bound=exact_bound, approx_budget=approx_budget
-    )
+    # graph accuracy is a zero-cost mapping
+    outcome = ged(pred, gold, sigma_fn)
     return QuestionScore(
         qid=record.id,
         task=record.task.name,
         answer_correct=True,
-        graph_accurate=False,
-        similarity=similarity,
+        graph_accurate=outcome.delta == 0.0,
+        similarity=eq1_similarity(outcome),
         malformed=False,
         truncated=mp.truncated,
         delta=None if math.isinf(outcome.delta) else outcome.delta,
@@ -271,25 +170,15 @@ class ScoreRun:
     fallback: bool = False  # external scorer died; finished on builtin overlap
 
 
-def _score_payload(
-    payload: tuple[CorpusRecord, float, int, int],
-) -> QuestionScore:
-    record, threshold, exact_bound, approx_budget = payload
-    return score_question(
-        record,
-        scorer=None,
-        threshold=threshold,
-        exact_bound=exact_bound,
-        approx_budget=approx_budget,
-    )
+def _score_payload(payload: tuple[CorpusRecord, float]) -> QuestionScore:
+    record, threshold = payload
+    return score_question(record, scorer=None, threshold=threshold)
 
 
 def score_records(
     records: Sequence[CorpusRecord],
     scorer: ExternalScorer | None = None,
     threshold: float = DEFAULT_SOFT_THRESHOLD,
-    exact_bound: int = DEFAULT_EXACT_BOUND,
-    approx_budget: int = DEFAULT_APPROX_BUDGET,
     jobs: int = 1,
 ) -> ScoreRun:
     """Score every record that has a predicted proof, preserving order.
@@ -300,7 +189,7 @@ def score_records(
     scorable = [r for r in records if r.predicted_proof is not None]
     skipped = tuple(r.id for r in records if r.predicted_proof is None)
     if jobs > 1 and scorer is None and len(scorable) > 1:
-        payloads = [(r, threshold, exact_bound, approx_budget) for r in scorable]
+        payloads = [(r, threshold) for r in scorable]
         chunk = max(1, len(payloads) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             scores = tuple(pool.map(_score_payload, payloads, chunksize=chunk))
@@ -310,29 +199,13 @@ def score_records(
     collected: list[QuestionScore] = []
     for r in scorable:
         try:
-            collected.append(
-                score_question(
-                    r,
-                    scorer=scorer,
-                    threshold=threshold,
-                    exact_bound=exact_bound,
-                    approx_budget=approx_budget,
-                )
-            )
+            collected.append(score_question(r, scorer=scorer, threshold=threshold))
         except ExternalScorerUnavailableError:
             # the run must survive a dying scorer: finish on the builtin
             # overlap score and mark the report
             fallback = True
             scorer = None
-            collected.append(
-                score_question(
-                    r,
-                    scorer=None,
-                    threshold=threshold,
-                    exact_bound=exact_bound,
-                    approx_budget=approx_budget,
-                )
-            )
+            collected.append(score_question(r, scorer=None, threshold=threshold))
     return ScoreRun(tuple(collected), skipped, fallback=fallback)
 
 

@@ -14,14 +14,19 @@ The external scorer protocol is line-oriented: the toolkit writes one JSON
 record {"candidate": ..., "reference": ...} per pair to the scorer's stdin
 and reads one decimal score per line from its stdout, in order. The scorer
 must flush after every line. At most one scorer process runs at a time and
-(candidate, reference) results are cached.
+(candidate, reference) results are cached. A scorer that has not replied
+REPLY_DEADLINE_S seconds after a request is killed and counts as
+unavailable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
+import os
 import re
+import select
 import shlex
 import string
 import subprocess
@@ -34,6 +39,7 @@ from .errors import ExternalScorerUnavailableError
 from .tasks import TaskSpec
 
 DEFAULT_SOFT_THRESHOLD = 0.25
+REPLY_DEADLINE_S = 30.0  # longest wait for one scorer reply
 
 _NUMBER_TOKEN_RE = re.compile(r"[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
 _SIGN_PRECEDERS = frozenset("=(")
@@ -46,16 +52,24 @@ class PolicyKind(enum.Enum):
     SOFT_THRESHOLD = "soft-threshold"
 
 
+def _close_pipes(proc: subprocess.Popen[bytes]) -> None:
+    for pipe in (proc.stdin, proc.stdout):
+        with contextlib.suppress(OSError):
+            pipe.close()
+
+
 class ExternalScorer:
     """Handle on a line-oriented external scoring process."""
 
     def __init__(self, command: str):
         self.command = command
-        self._proc: subprocess.Popen[str] | None = None
+        self._proc: subprocess.Popen[bytes] | None = None
+        self._pending = b""  # bytes read past the last reply line
+        self._poller = select.poll()  # readiness of the scorer's output
         self._lock = threading.Lock()
         self._cache: dict[tuple[str, str], float] = {}
 
-    def _ensure_process(self) -> subprocess.Popen[str]:
+    def _ensure_process(self) -> subprocess.Popen[bytes]:
         if self._proc is not None and self._proc.poll() is None:
             return self._proc
         try:
@@ -63,14 +77,42 @@ class ExternalScorer:
                 shlex.split(self.command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
             )
         except OSError as e:
             raise ExternalScorerUnavailableError(
                 f"could not start scorer {self.command!r}: {e}"
             ) from e
+        self._pending = b""
+        self._poller = select.poll()
+        self._poller.register(self._proc.stdout.fileno(), select.POLLIN)
         return self._proc
+
+    def _kill(self) -> None:
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            proc.kill()
+            proc.wait()
+            _close_pipes(proc)
+
+    def _read_reply(self, proc: subprocess.Popen[bytes]) -> bytes | None:
+        """The next reply line; what is left, or None, at end of output.
+
+        Kills the scorer and raises when it stays silent past the deadline.
+        """
+        fd = proc.stdout.fileno()
+        while b"\n" not in self._pending:
+            if not self._poller.poll(REPLY_DEADLINE_S * 1000):
+                self._kill()
+                raise ExternalScorerUnavailableError(
+                    f"scorer {self.command!r} did not reply within {REPLY_DEADLINE_S}s"
+                )
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                line, self._pending = self._pending, b""
+                return line or None
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line
 
     def score(self, candidate: str, reference: str) -> float:
         key = (candidate, reference)
@@ -81,17 +123,18 @@ class ExternalScorer:
             record = json.dumps({"candidate": candidate, "reference": reference})
             try:
                 assert proc.stdin is not None and proc.stdout is not None
-                proc.stdin.write(record + "\n")
+                proc.stdin.write(record.encode("utf-8") + b"\n")
                 proc.stdin.flush()
-                line = proc.stdout.readline()
+                reply = self._read_reply(proc)
             except (OSError, ValueError) as e:
                 raise ExternalScorerUnavailableError(
                     f"scorer {self.command!r} pipe failed: {e}"
                 ) from e
-            if not line:
+            if reply is None:
                 raise ExternalScorerUnavailableError(
                     f"scorer {self.command!r} closed its output"
                 )
+            line = reply.decode("utf-8", errors="replace")
             try:
                 value = float(line.strip())
             except ValueError:
@@ -106,15 +149,17 @@ class ExternalScorer:
 
     def close(self) -> None:
         with self._lock:
-            if self._proc is not None and self._proc.poll() is None:
+            proc, self._proc = self._proc, None
+            if proc is None:
+                return
+            if proc.poll() is None:
                 try:
-                    if self._proc.stdin:
-                        self._proc.stdin.close()
-                    self._proc.terminate()
-                    self._proc.wait(timeout=5)
+                    proc.stdin.close()
+                    proc.terminate()
+                    proc.wait(timeout=5)
                 except OSError:
                     pass
-            self._proc = None
+            _close_pipes(proc)
 
     def __enter__(self) -> "ExternalScorer":
         return self

@@ -12,6 +12,7 @@ scores 0.0. Replies are flushed per line so a batch driver never deadlocks.
 
 Flags:
     --fail-after N   exit abruptly after N replies (crash-recovery tests)
+    --hang-after N   keep reading but stop replying after N replies (deadline tests)
     --banner         print a junk line before the first reply (protocol noise)
 """
 
@@ -26,6 +27,7 @@ MARKER = re.compile(r"\[s=([0-9.]+)\]")
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--fail-after", type=int, default=None)
+    ap.add_argument("--hang-after", type=int, default=None)
     ap.add_argument("--banner", action="store_true")
     args = ap.parse_args()
 
@@ -36,6 +38,8 @@ def main() -> int:
     for line in sys.stdin:
         line = line.strip()
         if not line:
+            continue
+        if args.hang_after is not None and served >= args.hang_after:
             continue
         req = json.loads(line)
         cand, ref = req["candidate"], req["reference"]

@@ -1,5 +1,6 @@
-"""Graph edit distance tests: exact solver vs oracle, approximation bounds."""
+"""Graph edit distance tests: the search vs the oracle, its budget, its wrappers."""
 
+import importlib
 import math
 import random
 
@@ -129,11 +130,28 @@ class TestSingleEdits:
             exact_ged(g, g, sigma_math, bound=6)
 
     def test_dispatcher_falls_back_to_approx(self):
+        # beyond exact_ged's bound, ged runs the same search and still
+        # finishes on this instance
         texts = [f"step number {i} is {i}" for i in range(8)]
         g = small_graph(texts)
-        out = ged(g, g, sigma_math, exact_bound=6)
-        assert not out.exact
-        assert out.delta == 0.0  # identity still found greedily
+        out = ged(g, g, sigma_math)
+        assert out.exact
+        assert out.delta == 0.0
+
+
+class TestBudget:
+    def test_tiny_budget_returns_an_upper_bound(self, monkeypatch):
+        rng = random.Random(5)
+        pairs = [random_graph_pair(rng) for _ in range(200)]
+        full = [ged(pred, gold, sigma_math) for pred, gold in pairs]
+        monkeypatch.setattr(importlib.import_module("rgraph.ged"), "SEARCH_BUDGET", 1)
+        cut = [ged(pred, gold, sigma_math) for pred, gold in pairs]
+        assert all(out.exact for out in full)
+        assert any(not out.exact for out in cut)
+        for unbudgeted, budgeted in zip(full, cut):
+            assert budgeted.delta >= unbudgeted.delta
+            if budgeted.exact:
+                assert budgeted.delta == unbudgeted.delta
 
 
 class TestOracleEquivalence:

@@ -10,17 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import ALL_FIXTURES, ARC_SUN, GSM8K_AGES
-from oracles import random_graph_pair
+from fixtures import ALL_FIXTURES, AR_LSAT_LOCKERS, ARC_SUN, GSM8K_AGES
+from oracles import oracle_ged, random_graph_pair
 from rgraph.codec import LinearizedExample, parse, serialize
 from rgraph.corpus import record_from_strings
 from rgraph.errors import AnswerTypeMismatchError
-from rgraph.ged import exact_ged
+from rgraph.ged import exact_ged, ged
 from rgraph.graph import Choice, Number, QaComponents, build
 from rgraph.metrics import (
     OVERALL_LABEL,
     aggregate,
-    align_nodes,
     answer_accuracy,
     eq1_similarity,
     graph_similarity,
@@ -29,10 +28,20 @@ from rgraph.metrics import (
     score_question,
     score_records,
 )
-from rgraph.similarity import ExternalScorer, sigma_exact, sigma_math
+from rgraph.similarity import (
+    ExternalScorer,
+    builtin_overlap_score,
+    sigma_exact,
+    sigma_math,
+)
 from rgraph.tasks import get_task
 
 STUB = f"{sys.executable} {Path(__file__).parent / 'stub_scorer.py'}"
+
+
+def sigma_soft_builtin(candidate: str, reference: str) -> bool:
+    """The default soft sigma: builtin overlap F1 above 0.25 (not transitive)."""
+    return builtin_overlap_score(candidate, reference) > 0.25
 
 
 def fixture_graph(fx):
@@ -73,11 +82,17 @@ class TestAnswerAccuracy:
             answer_accuracy(Choice("A"), Number(Decimal(1)))
 
 
-class TestAlignNodes:
+class TestReasoningGraphAccuracy:
+    @pytest.mark.parametrize("fx", ALL_FIXTURES, ids=lambda f: f.name)
+    def test_self_accuracy(self, fx):
+        g = fixture_graph(fx)
+        assert reasoning_graph_accuracy(g, g, sigma_exact)
+
     def test_identity_alignment(self):
         g = fixture_graph(GSM8K_AGES)
-        alignment = align_nodes(g, g, sigma_math)
-        assert alignment == {i: i for i in g.step_ids}
+        out = ged(g, g, sigma_math)
+        assert out.delta == 0.0
+        assert out.mapping == {i: i for i in g.nodes}
 
     def test_misaligned_premises_unmatched(self):
         comps = QaComponents(context=("c1", "c2"), question=("q",), options=())
@@ -91,8 +106,11 @@ class TestAlignNodes:
             comps,
             [({2}, "value 10"), ({4}, "The answer is 10")],
         )
-        alignment = align_nodes(pred, gold, sigma_math)
-        assert 4 not in alignment
+        out = ged(pred, gold, sigma_math)
+        # the steps still pair up; only the two premise edges differ
+        assert out.mapping[4] == 4
+        assert out.delta == 2.0
+        assert not reasoning_graph_accuracy(pred, gold, sigma_math)
 
     def test_zero_antecedent_steps_invisible(self):
         comps = QaComponents(context=("c",), question=("q",), options=())
@@ -110,15 +128,26 @@ class TestAlignNodes:
             comps,
             [({1}, "value 10"), ({3}, "The answer is 10")],
         )
-        alignment = align_nodes(pred, gold, sigma_math)
-        assert alignment == {4: 3, 5: 4}
+        out = ged(pred, gold, sigma_math)
+        assert out.mapping[4] == 3 and out.mapping[5] == 4
+        assert 3 not in out.mapping
+        assert reasoning_graph_accuracy(pred, gold, sigma_math)
 
-
-class TestReasoningGraphAccuracy:
-    @pytest.mark.parametrize("fx", ALL_FIXTURES, ids=lambda f: f.name)
-    def test_self_accuracy(self, fx):
-        g = fixture_graph(fx)
-        assert reasoning_graph_accuracy(g, g, sigma_exact)
+    def test_soft_sigma_accuracy_finds_the_crossed_pairing(self):
+        # "red apple green pear" is similar to both gold steps, "red apple"
+        # only to the first: only the crossed pairing costs nothing
+        gold = (
+            "(1) -> (9): red apple; (1) -> (10): green pear; "
+            "(9) & (10) -> (11): The answer is A);"
+        )
+        pred = (
+            "(1) -> (9): red apple green pear; (1) -> (10): red apple; "
+            "(9) & (10) -> (11): The answer is A);"
+        )
+        record = record_from_strings("crossed", "arc", ARC_SUN.question, gold, pred)
+        s = score_question(record)
+        assert s.answer_correct and s.graph_accurate
+        assert s.delta == 0.0 and s.similarity == 1.0 and s.ged_exact
 
     def test_wrong_answer_fails(self):
         comps = QaComponents(context=("c",), question=("q",), options=())
@@ -193,9 +222,9 @@ class TestEq1Similarity:
     @settings(max_examples=100, deadline=None)
     def test_accuracy_iff_zero_distance(self, seed):
         pred, gold = random_graph_pair(random.Random(seed))
-        rga = reasoning_graph_accuracy(pred, gold, sigma_math)
-        outcome = exact_ged(pred, gold, sigma_math)
-        assert rga == (outcome.delta == 0.0)
+        for sigma_fn in (sigma_math, sigma_soft_builtin):
+            rga = reasoning_graph_accuracy(pred, gold, sigma_fn)
+            assert rga == (oracle_ged(pred, gold, sigma_fn) == 0.0)
 
 
 class TestScoreQuestion:
@@ -299,7 +328,8 @@ class TestScoreRecords:
         assert serial.skipped == parallel.skipped
 
     def test_dying_scorer_triggers_fallback(self):
-        records = [fixture_record(ARC_SUN, ARC_SUN.proof)] * 3
+        # several distinct step pairs, so the scorer is asked more than once
+        records = [fixture_record(AR_LSAT_LOCKERS, AR_LSAT_LOCKERS.proof)] * 3
         with ExternalScorer(f"{STUB} --fail-after 1") as scorer:
             run = score_records(records, scorer=scorer)
         assert run.fallback
@@ -349,7 +379,7 @@ class TestAggregate:
         assert row.graph_similarity == 50.0
 
     def test_fallback_marks_report(self):
-        records = [fixture_record(ARC_SUN, ARC_SUN.proof)] * 3
+        records = [fixture_record(AR_LSAT_LOCKERS, AR_LSAT_LOCKERS.proof)] * 3
         with ExternalScorer(f"{STUB} --fail-after 1") as scorer:
             report = aggregate(score_records(records, scorer=scorer))
         assert report.fallback_similarity

@@ -33,7 +33,7 @@ from .errors import (
     FileUnreadableError,
     ReasoningGraphError,
 )
-from .metrics import aggregate, render_table, score_records
+from .metrics import aggregate, render_table, score_lines
 from .scone import DEFAULT_N_ACTIONS, SUB_TASKS, generate_records
 from .similarity import DEFAULT_SOFT_THRESHOLD, ExternalScorer
 from .tasks import TASKS, get_task
@@ -214,21 +214,20 @@ def _write_all(outputs: list[tuple[str, Callable[[TextIO], None]]]) -> None:
 
 def cmd_score(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    report = ingest(args.infile)
-    for err in report.errors:
-        print(f"invalid: {err}", file=sys.stderr)
-    records = _filter_task(report.records, args.task)
+    task = get_task(args.task).name if args.task else None
     scorer = ExternalScorer(args.scorer_cmd) if args.scorer_cmd else None
     try:
-        run = score_records(
-            records,
-            scorer=scorer,
-            threshold=args.scorer_threshold,
-            jobs=args.jobs,
-        )
+        with open(args.infile, encoding="utf-8") as fh:
+            n_lines = sum(1 for _ in fh)
+            fh.seek(0)
+            run, errors = score_lines(
+                fh, n_lines, task, scorer, args.scorer_threshold, args.jobs
+            )
     finally:
         if scorer is not None:
             scorer.close()
+    for err in errors:
+        print(f"invalid: {err}", file=sys.stderr)
     result = aggregate(run)
     scorer_kind = (
         f"external:{args.scorer_cmd}" if args.scorer_cmd else "builtin-overlap"
@@ -266,7 +265,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         f"(jobs={args.jobs})",
         file=sys.stderr,
     )
-    return 1 if report.errors or run.skipped else 0
+    return 1 if errors or run.skipped else 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -276,10 +275,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     records = _filter_task(report.records, args.task)
     stats = corpus_stats(records)
     print(render_stats(stats))
-    prefix = _out_prefix(args)
-    with open(prefix + ".stats.json", "w", encoding="utf-8") as fh:
+
+    def write_stats(fh: TextIO) -> None:
         json.dump(stats.to_json(), fh, ensure_ascii=False, indent=2)
         fh.write("\n")
+
+    _write_all([(_out_prefix(args) + ".stats.json", write_stats)])
     return 1 if report.errors else 0
 
 

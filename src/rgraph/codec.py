@@ -255,13 +255,17 @@ def components_from_block(task: TaskSpec, question_block: str) -> QaComponents:
     return infer_components(task, _split_numbered(question_block))
 
 
-def parse(example: LinearizedExample) -> ReasoningGraph:
+def parse(
+    example: LinearizedExample, components: QaComponents | None = None
+) -> ReasoningGraph:
     """Strict parse of a linearized example into a reasoning graph.
 
     Raises codec/graph errors on malformed input; see parse_model_output for
-    the tolerant variant used on model generations.
+    the tolerant variant used on model generations. Pass the components of
+    the question block, if already split, to save splitting it again.
     """
-    components = components_from_block(example.task, example.question_block)
+    if components is None:
+        components = components_from_block(example.task, example.question_block)
     steps, tail = _parse_clauses(example.proof_block)
     if tail is not None:
         raise ProofSyntaxError(

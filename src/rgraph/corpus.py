@@ -75,7 +75,7 @@ def record_from_strings(
     """
     spec = get_task(task) if isinstance(task, str) else task
     components = components_from_block(spec, question)
-    gold = parse(LinearizedExample(spec, question, proof))
+    gold = parse(LinearizedExample(spec, question, proof), components)
     violations = validate(gold)
     if violations:
         details = "; ".join(f"{v.rule}: {v.message}" for v in violations[:3])
@@ -111,28 +111,40 @@ def _record_from_obj(obj: object, line_no: int) -> CorpusRecord:
         raise SchemaError(line_no, f"gold record does not parse: {e}") from None
 
 
+def read_line(line_no: int, line: str) -> CorpusRecord | SchemaError | None:
+    """One corpus line: its record, the error that rejects it, or None if blank."""
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        return SchemaError(line_no, f"invalid JSON: {e.msg}")
+    try:
+        return _record_from_obj(obj, line_no)
+    except SchemaError as e:
+        return e
+
+
+def duplicate_error(line_no: int, record_id: str, seen: set[str]) -> SchemaError | None:
+    """The error for a record id already in seen; otherwise add it to seen."""
+    if record_id in seen:
+        return SchemaError(line_no, f"duplicate record id {record_id!r}")
+    seen.add(record_id)
+    return None
+
+
 def ingest_lines(lines: Iterable[str]) -> IngestReport:
     records: list[CorpusRecord] = []
     errors: list[SchemaError] = []
     seen_ids: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            errors.append(SchemaError(line_no, f"invalid JSON: {e.msg}"))
-            continue
-        try:
-            record = _record_from_obj(obj, line_no)
-        except SchemaError as e:
-            errors.append(e)
-            continue
-        if record.id in seen_ids:
-            errors.append(SchemaError(line_no, f"duplicate record id {record.id!r}"))
-            continue
-        seen_ids.add(record.id)
-        records.append(record)
+        item = read_line(line_no, line)
+        if isinstance(item, CorpusRecord):
+            item = duplicate_error(line_no, item.id, seen_ids) or item
+        if isinstance(item, SchemaError):
+            errors.append(item)
+        elif item is not None:
+            records.append(item)
     return IngestReport(tuple(records), tuple(errors))
 
 

@@ -122,6 +122,9 @@ class SchemaError(CorpusError):
         self.message = message
         super().__init__(f"line {line_no}: {message}")
 
+    def __reduce__(self):  # rebuilt from both fields when it crosses a process boundary
+        return SchemaError, (self.line_no, self.message)
+
 
 class InsufficientRatersError(CorpusError):
     """Rating counts do not describe >= 2 raters per item (or are uneven)."""

@@ -42,8 +42,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ExactnessBoundExceededError, ReasoningGraphError
-from .graph import ReasoningGraph, extract_answer, topological_order
+from .errors import ExactnessBoundExceededError
+from .graph import ReasoningGraph
 
 SigmaFn = Callable[[str, str], bool]
 
@@ -98,7 +98,7 @@ def _make_side(graph: ReasoningGraph) -> _Side:
     step_ids = set(graph.step_ids)
     steps = tuple(
         i
-        for i in topological_order(graph)
+        for i in graph.topo_order
         if i in step_ids and i not in dropped and i != answer_id
     )
     parents: dict[int, frozenset[int]] = {}
@@ -121,12 +121,7 @@ def _prepare(pred: ReasoningGraph, gold: ReasoningGraph) -> _Prepared:
             f"(premises {sorted(pred.premise_ids)} vs {sorted(gold.premise_ids)})"
         )
     anchors = {i: i for i in pred.premise_ids}
-    try:
-        pred_answer = extract_answer(pred)
-        gold_answer = extract_answer(gold)
-        answers_equal = pred_answer == gold_answer
-    except ReasoningGraphError:
-        answers_equal = False
+    answers_equal = pred.answer is not None and pred.answer == gold.answer
     if answers_equal and not pred.task.is_scone:
         anchors[pred.answer_node_id] = gold.answer_node_id
     return _Prepared(pred_side, gold_side, anchors, answers_equal)

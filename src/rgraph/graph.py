@@ -22,6 +22,7 @@ from .errors import (
     DanglingPremiseError,
     EmptyStepTextError,
     MissingAnswerNodeError,
+    ReasoningGraphError,
     UnknownNodeError,
     UnparseableAnswerTextError,
 )
@@ -125,7 +126,7 @@ class ReasoningGraph:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     # Instances are treated as immutable after construction; the cached
-    # adjacency maps below rely on that.
+    # adjacency maps and derived facts below rely on that.
 
     def __hash__(self) -> int:  # nodes dict is not hashable; derive one
         return hash((self.task.name, tuple(sorted(self.nodes)), self.edges))
@@ -165,13 +166,26 @@ class ReasoningGraph:
         self._require(node_id)
         return self.nodes[node_id].kind
 
-    @property
+    @cached_property
     def premise_ids(self) -> tuple[int, ...]:
         return tuple(i for i in sorted(self.nodes) if self.nodes[i].kind in PREMISE_KINDS)
 
-    @property
+    @cached_property
     def step_ids(self) -> tuple[int, ...]:
         return tuple(i for i in sorted(self.nodes) if self.nodes[i].kind in STEP_KINDS)
+
+    @cached_property
+    def topo_order(self) -> tuple[int, ...]:
+        """topological_order(self); raises CycleError, uncached, on a cycle."""
+        return tuple(topological_order(self))
+
+    @cached_property
+    def answer(self) -> AnswerValue | None:
+        """extract_answer(self), or None where it raises."""
+        try:
+            return extract_answer(self)
+        except ReasoningGraphError:
+            return None
 
     @cached_property
     def answer_node_id(self) -> int | None:
@@ -182,7 +196,7 @@ class ReasoningGraph:
                 best = i
         return best
 
-    @property
+    @cached_property
     def zero_antecedent_step_ids(self) -> tuple[int, ...]:
         """Steps with no incoming edges; the answer node is never included."""
         return tuple(
@@ -348,7 +362,7 @@ def validate(graph: ReasoningGraph) -> list[Violation]:
         )
 
     try:
-        topological_order(graph)
+        graph.topo_order  # computing the order detects a cycle
     except CycleError:
         out.append(Violation("CycleDetected", (), "graph contains a directed cycle"))
 
@@ -422,7 +436,7 @@ def extract_answer(graph: ReasoningGraph) -> AnswerValue:
         if not tracked:
             raise MissingAnswerNodeError("no tracked object states in the question")
         step_set = set(graph.step_ids)
-        for i in topological_order(graph):
+        for i in graph.topo_order:
             if i not in step_set:
                 continue
             ks = state_key(graph.nodes[i].text)

@@ -18,20 +18,26 @@ the normalization.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import threading
+import time
+from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .codec import parse_model_output
-from .corpus import CorpusRecord
+from .corpus import CorpusRecord, duplicate_error, read_line
 from .errors import (
     AnswerTypeMismatchError,
     ExternalScorerUnavailableError,
-    ReasoningGraphError,
+    SchemaError,
 )
 from .ged import GedOutcome, ged
-from .graph import AnswerValue, ReasoningGraph, extract_answer
+from .graph import AnswerValue, ReasoningGraph
 from .similarity import (
     DEFAULT_SOFT_THRESHOLD,
     ExternalScorer,
@@ -106,6 +112,18 @@ class QuestionScore:
         }
 
 
+def _zero_row(
+    record: CorpusRecord,
+    malformed: bool = False,
+    truncated: bool = False,
+    parse_error: str | None = None,
+) -> QuestionScore:
+    """A row that scores 0 on all three metrics."""
+    return QuestionScore(
+        record.id, record.task.name, False, False, 0.0, malformed, truncated, parse_error
+    )
+
+
 def score_question(
     record: CorpusRecord,
     scorer: ExternalScorer | None = None,
@@ -118,32 +136,11 @@ def score_question(
     gold = record.gold
     mp = parse_model_output(record.predicted_proof, record.task, record.components)
     if mp.graph is None:
-        return QuestionScore(
-            qid=record.id,
-            task=record.task.name,
-            answer_correct=False,
-            graph_accurate=False,
-            similarity=0.0,
-            malformed=True,
-            truncated=False,
-            parse_error=f"{mp.failure.error}: {mp.failure.message}",
-        )
+        parse_error = f"{mp.failure.error}: {mp.failure.message}"
+        return _zero_row(record, malformed=True, parse_error=parse_error)
     pred = mp.graph
-
-    try:
-        answer_correct = extract_answer(pred) == extract_answer(gold)
-    except ReasoningGraphError:
-        answer_correct = False
-    if not answer_correct:
-        return QuestionScore(
-            qid=record.id,
-            task=record.task.name,
-            answer_correct=False,
-            graph_accurate=False,
-            similarity=0.0,
-            malformed=False,
-            truncated=mp.truncated,
-        )
+    if pred.answer is None or pred.answer != gold.answer:
+        return _zero_row(record, truncated=mp.truncated)
 
     def sigma_fn(candidate: str, reference: str) -> bool:
         return sigma(policy, candidate, reference)
@@ -170,9 +167,34 @@ class ScoreRun:
     fallback: bool = False  # external scorer died; finished on builtin overlap
 
 
-def _score_payload(payload: tuple[CorpusRecord, float]) -> QuestionScore:
-    record, threshold = payload
-    return score_question(record, scorer=None, threshold=threshold)
+def score_record(
+    record: CorpusRecord,
+    scorer: ExternalScorer | None = None,
+    threshold: float = DEFAULT_SOFT_THRESHOLD,
+) -> QuestionScore:
+    """score_question, where any error but a dead scorer scores 0 and is
+    named, with its type, in parse_error."""
+    try:
+        return score_question(record, scorer, threshold)
+    except ExternalScorerUnavailableError:
+        raise
+    except Exception as e:  # one record must never abort a run
+        return _zero_row(record, parse_error=f"{type(e).__name__}: {e}")
+
+
+class _Rater:
+    """Scores records in this process; once the external scorer is
+    unavailable, the rest of the run uses the builtin overlap score."""
+
+    def __init__(self, scorer: ExternalScorer | None, threshold: float):
+        self.scorer, self.threshold, self.fallback = scorer, threshold, False
+
+    def __call__(self, record: CorpusRecord) -> QuestionScore:
+        try:
+            return score_record(record, self.scorer, self.threshold)
+        except ExternalScorerUnavailableError:
+            self.scorer, self.fallback = None, True
+            return score_record(record, None, self.threshold)
 
 
 def score_records(
@@ -181,32 +203,156 @@ def score_records(
     threshold: float = DEFAULT_SOFT_THRESHOLD,
     jobs: int = 1,
 ) -> ScoreRun:
-    """Score every record that has a predicted proof, preserving order.
+    """Score, in order and in this process, each record with a predicted proof.
 
-    An external scorer pins the run to one process: the scorer is a single
-    stateful subprocess and its responses must stay paired with requests.
-    """
-    scorable = [r for r in records if r.predicted_proof is not None]
+    jobs is ignored: score_lines spreads raw corpus lines over processes."""
+    rate = _Rater(scorer, threshold)
+    scores = tuple(rate(r) for r in records if r.predicted_proof is not None)
     skipped = tuple(r.id for r in records if r.predicted_proof is None)
-    if jobs > 1 and scorer is None and len(scorable) > 1:
-        payloads = [(r, threshold) for r in scorable]
-        chunk = max(1, len(payloads) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            scores = tuple(pool.map(_score_payload, payloads, chunksize=chunk))
-        return ScoreRun(scores, skipped)
+    return ScoreRun(scores, skipped, fallback=rate.fallback)
 
-    fallback = False
-    collected: list[QuestionScore] = []
-    for r in scorable:
-        try:
-            collected.append(score_question(r, scorer=scorer, threshold=threshold))
-        except ExternalScorerUnavailableError:
-            # the run must survive a dying scorer: finish on the builtin
-            # overlap score and mark the report
-            fallback = True
-            scorer = None
-            collected.append(score_question(r, scorer=None, threshold=threshold))
-    return ScoreRun(tuple(collected), skipped, fallback=fallback)
+
+class LineScore(NamedTuple):
+    """A valid corpus line: its record's id and task, and its score if scored."""
+
+    line_no: int
+    qid: str
+    task: str
+    score: QuestionScore | None
+
+
+LineResult = LineScore | SchemaError | None  # None: a blank line
+Chunk = list[tuple[int, str]]  # numbered lines
+
+MAX_CHUNK_LINES = 256  # bounds the lines a worker holds at once
+
+
+def score_line(
+    line_no: int, line: str, rate: Callable[[CorpusRecord], QuestionScore | None]
+) -> LineResult:
+    """One corpus line read, and its record scored by rate."""
+    item = read_line(line_no, line)
+    if not isinstance(item, CorpusRecord):
+        return item
+    return LineScore(line_no, item.id, item.task.name, rate(item))
+
+
+def _wanted(record: CorpusRecord, task: str | None) -> bool:
+    return record.predicted_proof is not None and task in (None, record.task.name)
+
+
+def score_lines(
+    lines: Iterable[str],
+    n_lines: int,
+    task: str | None = None,
+    scorer: ExternalScorer | None = None,
+    threshold: float = DEFAULT_SOFT_THRESHOLD,
+    jobs: int = 1,
+) -> tuple[ScoreRun, tuple[SchemaError, ...]]:
+    """Read and score a corpus given as its n_lines raw lines, in order.
+
+    Lines are read as ingest_lines reads them: a repeated id is rejected
+    whatever its task, then only records of `task` (a task name), if given,
+    are kept. Returns the run and the errors of the rejected lines.
+
+    With jobs > 1 and no external scorer, worker processes read and score
+    chunks of lines. An external scorer pins the run to this process: it is
+    a single stateful subprocess whose replies must stay paired with requests.
+    """
+    numbered = enumerate(lines, start=1)
+    seen: set[str] = set()
+    rate = _Rater(scorer, threshold)
+    if jobs > 1 and scorer is None and n_lines > 1:
+        size = min(MAX_CHUNK_LINES, -(-n_lines // (4 * jobs)))
+        results = _pooled(numbered, size, task, threshold, jobs)
+    else:
+
+        def rate_new(record: CorpusRecord) -> QuestionScore | None:
+            # results are consumed one by one, so seen holds every earlier id
+            return rate(record) if _wanted(record, task) and record.id not in seen else None
+
+        results = (score_line(n, line, rate_new) for n, line in numbered)
+    scores: list[QuestionScore] = []
+    skipped: list[str] = []
+    errors: list[SchemaError] = []
+    for result in results:
+        if isinstance(result, LineScore):
+            result = duplicate_error(result.line_no, result.qid, seen) or result
+        if isinstance(result, SchemaError):
+            errors.append(result)
+        elif result is not None and task in (None, result.task):
+            if result.score is None:
+                skipped.append(result.qid)
+            else:
+                scores.append(result.score)
+    return ScoreRun(tuple(scores), tuple(skipped), rate.fallback), tuple(errors)
+
+
+def _score_chunk(
+    chunk: Chunk, task: str | None, threshold: float, broken: BaseException | None = None
+) -> list[LineResult]:
+    """score_line over a chunk; every record scores 0 when its pool broke."""
+
+    def rate(record: CorpusRecord) -> QuestionScore | None:
+        if not _wanted(record, task):
+            return None
+        if broken is not None:
+            return _zero_row(record, parse_error=f"{type(broken).__name__}: {broken}")
+        return score_record(record, None, threshold)
+
+    return [score_line(n, line, rate) for n, line in chunk]
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once the process that started it is gone."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pooled(
+    numbered: Iterator[tuple[int, str]], size: int, task: str | None, threshold: float, jobs: int
+) -> Iterator[LineResult]:
+    """Score chunks of `size` lines in `jobs` processes, in order, at most
+    2 * jobs chunks in flight.
+
+    A worker that dies breaks its pool. The chunks the pool had not
+    answered go, one at a time, to a new pool; a chunk that breaks a pool
+    on its own scores 0, and the file goes on.
+    """
+    chunks = iter(lambda: list(islice(numbered, size)), [])
+    queue: deque[Chunk] = deque()  # read from the file, not yet answered
+    suspects = 0  # chunks at the head of queue left unanswered by a broken pool
+    while True:
+        futures: deque[concurrent.futures.Future] = deque()
+        with concurrent.futures.ProcessPoolExecutor(
+            jobs, initializer=_exit_with_parent, initargs=(os.getpid(),)
+        ) as pool:
+            try:
+                while True:
+                    width = 1 if suspects else 2 * jobs
+                    while len(queue) < width and (chunk := next(chunks, None)):
+                        queue.append(chunk)
+                    while len(futures) < min(width, len(queue)):
+                        chunk = queue[len(futures)]
+                        futures.append(pool.submit(_score_chunk, chunk, task, threshold))
+                    if not queue:
+                        return
+                    yield from futures[0].result()
+                    futures.popleft()
+                    queue.popleft()
+                    suspects = max(0, suspects - 1)
+            except BrokenProcessPool as e:
+                broken = e
+        if suspects:
+            suspects -= 1
+            yield from _score_chunk(queue.popleft(), task, threshold, broken)
+        else:
+            suspects = len(queue)
 
 
 @dataclass(frozen=True)

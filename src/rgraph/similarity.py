@@ -16,7 +16,8 @@ and reads one decimal score per line from its stdout, in order. The scorer
 must flush after every line. At most one scorer process runs at a time and
 (candidate, reference) results are cached. A scorer that has not replied
 REPLY_DEADLINE_S seconds after a request is killed and counts as
-unavailable.
+unavailable; so does one that exited: it is started once and never
+restarted.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class ExternalScorer:
     def __init__(self, command: str):
         self.command = command
         self._proc: subprocess.Popen[bytes] | None = None
+        self._started = False
         self._pending = b""  # bytes read past the last reply line
         self._poller = select.poll()  # readiness of the scorer's output
         self._lock = threading.Lock()
@@ -72,6 +74,12 @@ class ExternalScorer:
     def _ensure_process(self) -> subprocess.Popen[bytes]:
         if self._proc is not None and self._proc.poll() is None:
             return self._proc
+        if self._started:  # a scorer that stopped is not silently replaced
+            self._kill()
+            raise ExternalScorerUnavailableError(
+                f"scorer {self.command!r} has stopped; it is not restarted"
+            )
+        self._started = True
         try:
             self._proc = subprocess.Popen(
                 shlex.split(self.command),

@@ -8,13 +8,17 @@ exactly as a shell user would see them.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from fixtures import AR_LSAT_LOCKERS, ARC_SUN, GSM8K_AGES
+from fixtures import ALL_FIXTURES, AR_LSAT_LOCKERS, ARC_SUN, GSM8K_AGES
 
-from rgraph import similarity
+from rgraph import metrics, similarity
 from rgraph.cli import main
 from rgraph.similarity import ExternalScorer
 
@@ -44,6 +48,74 @@ def gen_corpus(tmp_path, name="corpus.jsonl", sub="alchemy", n=5, seed=3, pred=T
         argv.append("--with-predictions")
     assert main(argv) == 0
     return path
+
+
+def fixture_line(fx, record_id=None, **extra) -> str:
+    obj = {"id": record_id or fx.name, "task": fx.task, "question": fx.question, "proof": fx.proof}
+    obj.update(extra)
+    return json.dumps(obj)
+
+
+def messy_lines(tmp_path) -> list[str]:
+    """Valid and invalid lines of every kind a corpus file can hold."""
+    scene = gen_corpus(tmp_path, name="scene.jsonl", sub="scene", n=12, seed=5)
+    scene_lines = scene.read_text(encoding="utf-8").splitlines()
+    scene_ids = [json.loads(line)["id"] for line in scene_lines]
+    no_prediction = json.loads(scene_lines[6])
+    del no_prediction["predicted_proof"]
+    ages = GSM8K_AGES
+    return (
+        [fixture_line(fx, predicted_proof=fx.proof) for fx in ALL_FIXTURES]
+        + [
+            "",
+            "{broken",
+            fixture_line(ages, "wrong", predicted_proof=ages.proof.replace("is 12", "is 13")),
+            fixture_line(ages, "malformed", predicted_proof="@@@@"),
+            fixture_line(ages, "no-prediction"),
+            json.dumps({"id": "no-proof", "task": "gsm8k", "question": ages.question}),
+            fixture_line(ages, "sudoku", task="sudoku"),
+            # the first copy of an id is in a task that --task scone-scene drops
+            fixture_line(ages, scene_ids[3], predicted_proof=ages.proof),
+            "   ",
+        ]
+        + scene_lines[:6]
+        + [fixture_line(ages, "wrong", predicted_proof=ages.proof), json.dumps(no_prediction)]
+        + scene_lines[7:]
+        + [fixture_line(ARC_SUN, predicted_proof=ARC_SUN.proof)]
+    )
+
+
+def score_run(capsys, path, out, *flags) -> tuple[int, bytes, bytes, list[str]]:
+    """Exit code, scores and report bytes, and the invalid: lines of one run."""
+    rc = main(["score", "--in", str(path), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    invalid = [line for line in err.splitlines() if line.startswith("invalid:")]
+    scores = Path(f"{out}.scores.jsonl").read_bytes()
+    return rc, scores, Path(f"{out}.report.json").read_bytes(), invalid
+
+
+def score_rows(prefix) -> list[dict]:
+    text = Path(f"{prefix}.scores.jsonl").read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def _stat(pid) -> list[str] | None:
+    """Fields of /proc/<pid>/stat after the command name, or None if gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return text[text.rindex(")") + 2 :].split()
+
+
+def children_of(pid: int) -> list[int]:
+    pids = [int(p.name) for p in Path("/proc").iterdir() if p.name.isdigit()]
+    return [p for p in pids if (f := _stat(p)) and int(f[1]) == pid]
+
+
+def alive(pid: int) -> bool:
+    fields = _stat(pid)
+    return fields is not None and fields[0] != "Z"  # a zombie has exited
 
 
 def ages_line(**extra) -> str:
@@ -186,6 +258,125 @@ class TestScore:
         assert (tmp_path / "j1.scores.jsonl").read_bytes() == (
             tmp_path / "j3.scores.jsonl"
         ).read_bytes()
+
+    @pytest.mark.parametrize("task", [None, "scone-scene"])
+    def test_messy_corpus_same_across_jobs(self, tmp_path, capsys, task):
+        path = tmp_path / "messy.jsonl"
+        lines = messy_lines(tmp_path)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        flags = ["--task", task] if task else []
+        runs = {
+            jobs: score_run(capsys, path, tmp_path / f"j{jobs}", "--jobs", str(jobs), *flags)
+            for jobs in (1, 2, 3)
+        }
+        assert runs[1] == runs[2] == runs[3]
+        rc, _, report, invalid = runs[1]
+        assert rc == 1
+        f = len(ALL_FIXTURES)
+        # invalid JSON, a missing key, an unknown task, then three repeated ids
+        assert [int(line.split()[2].rstrip(":")) for line in invalid] == [
+            f + 2, f + 6, f + 7, f + 13, f + 16, len(lines)
+        ]
+        assert all("duplicate record id" in line for line in invalid[3:])
+        rows = score_rows(tmp_path / "j1")
+        assert len({r["id"] for r in rows}) == len(rows)
+        skipped = json.loads(report)["skipped"]
+        if task is None:
+            assert skipped == ["no-prediction", "scone-scene-11"]
+            assert [r["id"] for r in rows[:f]] == [fx.name for fx in ALL_FIXTURES]
+            assert len(rows) == f + 3 + 10
+        else:
+            assert skipped == ["scone-scene-11"]
+            kept = [5, 6, 7, 9, 10, 12, 13, 14, 15, 16]
+            assert [r["id"] for r in rows] == ["scene_people"] + [f"scone-scene-{i}" for i in kept]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scoring_error_becomes_failure_row(self, tmp_path, monkeypatch, jobs):
+        path = gen_corpus(tmp_path, n=8, sub="scene")
+        assert main(["score", "--in", str(path), "--out", str(tmp_path / "ok")]) == 0
+        healthy = score_rows(tmp_path / "ok")
+        victim = healthy[5]["id"]
+        score_question = metrics.score_question
+
+        def flaky(record, *args, **kwargs):
+            if record.id == victim:
+                raise KeyError("boom")
+            return score_question(record, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "score_question", flaky)
+        out = tmp_path / f"j{jobs}"
+        assert main(["score", "--in", str(path), "--out", str(out), "--jobs", jobs]) == 0
+        rows = score_rows(out)
+        assert rows[:5] + rows[6:] == healthy[:5] + healthy[6:]
+        assert rows[5] == {
+            **healthy[5],
+            "answer_correct": False,
+            "graph_accurate": False,
+            "graph_similarity": 0.0,
+            "parse_error": "KeyError: 'boom'",
+            "ged_delta": None,
+            "ged_exact": None,
+        }
+
+    def test_dead_worker_costs_only_its_chunk(self, tmp_path, monkeypatch):
+        path = gen_corpus(tmp_path, n=24, sub="scene")
+        assert main(["score", "--in", str(path), "--out", str(tmp_path / "ok")]) == 0
+        healthy = score_rows(tmp_path / "ok")
+        victim = healthy[10]["id"]
+        parent = os.getpid()
+        score_question = metrics.score_question
+
+        def deadly(record, *args, **kwargs):
+            if record.id == victim and os.getpid() != parent:
+                os._exit(1)
+            return score_question(record, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "score_question", deadly)
+        out = tmp_path / "j2"
+        assert main(["score", "--in", str(path), "--out", str(out), "--jobs", "2"]) == 0
+        rows = score_rows(out)
+        assert [r["id"] for r in rows] == [r["id"] for r in healthy]
+        lost = [i for i, r in enumerate(rows) if r != healthy[i]]
+        # one chunk of 24 / (4 * 2) lines, the victim's, is lost
+        assert len(lost) == 3 and 10 in lost and lost == list(range(lost[0], lost[0] + 3))
+        for i in lost:
+            assert rows[i]["parse_error"].startswith("BrokenProcessPool: ")
+            assert rows[i]["graph_similarity"] == 0.0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the process table in /proc")
+    def test_killed_run_leaves_no_worker(self, tmp_path):
+        gen = gen_corpus(tmp_path, n=20, sub="alchemy")
+        lines = gen.read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "big.jsonl"
+        with path.open("w", encoding="utf-8") as fh:
+            for i in range(4000):
+                fh.write(json.dumps({**json.loads(lines[i % 20]), "id": f"r{i}"}) + "\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from rgraph.cli import main; sys.exit(main())",
+             "score", "--in", str(path), "--jobs", "2"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+                workers = children_of(proc.pid)
+            assert len(workers) == 2, "the run ended before both workers were seen"
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while any(map(alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(alive, workers))
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            for pid in filter(alive, workers):
+                os.kill(pid, signal.SIGKILL)
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         path = gen_corpus(tmp_path, n=4)

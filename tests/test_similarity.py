@@ -1,6 +1,7 @@
 """Similarity policy tests: exact, math-value-set, soft threshold, scorers."""
 
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -186,6 +187,14 @@ class TestExternalScorer:
             scorer.score("a [s=0.5]", "b")
             with pytest.raises(ExternalScorerUnavailableError):
                 scorer.score("c [s=0.5]", "d")
+
+    def test_exited_scorer_is_not_restarted(self):
+        with ExternalScorer(f"{STUB} --fail-after 1") as scorer:
+            scorer.score("a [s=0.5]", "b")
+            time.sleep(0.5)  # the scorer has exited before the next request
+            for _ in range(2):
+                with pytest.raises(ExternalScorerUnavailableError):
+                    scorer.score("c [s=0.5]", "d")
 
     def test_unstartable_command_raises(self):
         with ExternalScorer("/no/such/binary-xyz") as scorer:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import multiprocessing
 import os
 import threading
 import time
@@ -167,34 +168,25 @@ class ScoreRun:
     fallback: bool = False  # external scorer died; finished on builtin overlap
 
 
-def score_record(
-    record: CorpusRecord,
-    scorer: ExternalScorer | None = None,
-    threshold: float = DEFAULT_SOFT_THRESHOLD,
-) -> QuestionScore:
-    """score_question, where any error but a dead scorer scores 0 and is
-    named, with its type, in parse_error."""
-    try:
-        return score_question(record, scorer, threshold)
-    except ExternalScorerUnavailableError:
-        raise
-    except Exception as e:  # one record must never abort a run
-        return _zero_row(record, parse_error=f"{type(e).__name__}: {e}")
-
-
 class _Rater:
-    """Scores records in this process; once the external scorer is
-    unavailable, the rest of the run uses the builtin overlap score."""
+    """score_question in this process. Once the external scorer is
+    unavailable, the rest of the run uses the builtin overlap score; any
+    other error scores the record 0 and is named, with its type, in
+    parse_error."""
 
     def __init__(self, scorer: ExternalScorer | None, threshold: float):
         self.scorer, self.threshold, self.fallback = scorer, threshold, False
 
     def __call__(self, record: CorpusRecord) -> QuestionScore:
         try:
-            return score_record(record, self.scorer, self.threshold)
+            return score_question(record, self.scorer, self.threshold)
         except ExternalScorerUnavailableError:
+            if self.scorer is None:
+                raise
             self.scorer, self.fallback = None, True
-            return score_record(record, None, self.threshold)
+            return self(record)
+        except Exception as e:  # one record must never abort a run
+            return _zero_row(record, parse_error=f"{type(e).__name__}: {e}")
 
 
 def score_records(
@@ -205,7 +197,9 @@ def score_records(
 ) -> ScoreRun:
     """Score, in order and in this process, each record with a predicted proof.
 
-    jobs is ignored: score_lines spreads raw corpus lines over processes."""
+    jobs must be 1: score_lines spreads raw corpus lines over processes."""
+    if jobs != 1:
+        raise ValueError(f"score_records runs in one process (jobs={jobs}); use score_lines")
     rate = _Rater(scorer, threshold)
     scores = tuple(rate(r) for r in records if r.predicted_proof is not None)
     skipped = tuple(r.id for r in records if r.predicted_proof is None)
@@ -225,6 +219,7 @@ LineResult = LineScore | SchemaError | None  # None: a blank line
 Chunk = list[tuple[int, str]]  # numbered lines
 
 MAX_CHUNK_LINES = 256  # bounds the lines a worker holds at once
+_FORK = multiprocessing.get_context("fork")
 
 
 def score_line(
@@ -292,13 +287,14 @@ def _score_chunk(
     chunk: Chunk, task: str | None, threshold: float, broken: BaseException | None = None
 ) -> list[LineResult]:
     """score_line over a chunk; every record scores 0 when its pool broke."""
+    rate_any = _Rater(None, threshold)
 
     def rate(record: CorpusRecord) -> QuestionScore | None:
         if not _wanted(record, task):
             return None
         if broken is not None:
             return _zero_row(record, parse_error=f"{type(broken).__name__}: {broken}")
-        return score_record(record, None, threshold)
+        return rate_any(record)
 
     return [score_line(n, line, rate) for n, line in chunk]
 
@@ -329,8 +325,10 @@ def _pooled(
     suspects = 0  # chunks at the head of queue left unanswered by a broken pool
     while True:
         futures: deque[concurrent.futures.Future] = deque()
+        # fork, whatever the platform's default: the watchdog compares each
+        # worker's parent with this process
         with concurrent.futures.ProcessPoolExecutor(
-            jobs, initializer=_exit_with_parent, initargs=(os.getpid(),)
+            jobs, mp_context=_FORK, initializer=_exit_with_parent, initargs=(os.getpid(),)
         ) as pool:
             try:
                 while True:

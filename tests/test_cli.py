@@ -50,6 +50,9 @@ def gen_corpus(tmp_path, name="corpus.jsonl", sub="alchemy", n=5, seed=3, pred=T
     return path
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def fixture_line(fx, record_id=None, **extra) -> str:
     obj = {"id": record_id or fx.name, "task": fx.task, "question": fx.question, "proof": fx.proof}
     obj.update(extra)
@@ -343,6 +346,24 @@ class TestScore:
             assert rows[i]["parse_error"].startswith("BrokenProcessPool: ")
             assert rows[i]["graph_similarity"] == 0.0
 
+    def test_workers_ignore_default_start_method(self, tmp_path):
+        path = gen_corpus(tmp_path, n=8, sub="scene")
+        assert main(["score", "--in", str(path), "--out", str(tmp_path / "j1")]) == 0
+        out = tmp_path / "forkserver"
+        code = (
+            "import multiprocessing, sys; multiprocessing.set_start_method('forkserver'); "
+            "from rgraph.cli import main; sys.exit(main())"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, "score", "--in", str(path), "--out", str(out),
+             "--jobs", "2"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            timeout=60,
+            check=True,
+        )
+        assert score_rows(out) == score_rows(tmp_path / "j1")
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the process table in /proc")
     def test_killed_run_leaves_no_worker(self, tmp_path):
         gen = gen_corpus(tmp_path, n=20, sub="alchemy")
@@ -351,11 +372,10 @@ class TestScore:
         with path.open("w", encoding="utf-8") as fh:
             for i in range(4000):
                 fh.write(json.dumps({**json.loads(lines[i % 20]), "id": f"r{i}"}) + "\n")
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.Popen(
             [sys.executable, "-c", "import sys; from rgraph.cli import main; sys.exit(main())",
              "score", "--in", str(path), "--jobs", "2"],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )

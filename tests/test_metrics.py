@@ -321,6 +321,10 @@ class TestScoreRecords:
             f.name for f in ALL_FIXTURES
         ]
 
+    def test_rejects_more_than_one_job(self):
+        with pytest.raises(ValueError, match="jobs=2"):
+            score_records(mixed_records(), jobs=2)
+
     def test_dying_scorer_triggers_fallback(self, monkeypatch):
         # several distinct step pairs, so the scorer is asked more than once
         records = [fixture_record(AR_LSAT_LOCKERS, AR_LSAT_LOCKERS.proof)] * 3
